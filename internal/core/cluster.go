@@ -33,10 +33,10 @@ func (c *Controller) ClusterFreeze(on bool) error {
 		return ErrNotPlacement
 	}
 	if on {
-		c.run.frozen.Store(true)
+		c.run.frozen.Store(1)
 		return nil
 	}
-	c.run.frozen.Store(false)
+	c.run.frozen.Store(0)
 	c.run.retryGen.Add(1)
 	return nil
 }
@@ -50,7 +50,7 @@ func (c *Controller) ClusterFence(x, newInc int) ([]uint64, error) {
 	if c.cfg.Placement == nil {
 		return nil, ErrNotPlacement
 	}
-	if !c.run.frozen.Load() {
+	if !c.run.isFrozen() {
 		return nil, errors.New("core: ClusterFence requires a frozen member")
 	}
 	c.mu.Lock()

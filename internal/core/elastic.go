@@ -223,7 +223,12 @@ func NewController(cfg Config, q *Query, flows [][]Flow, sink Sink) (*Controller
 		cfg.State.Fill()
 		c.stateReg = stateq.NewRegistry(c.fabric, c.pmap)
 	}
-	c.run = &runState{pool: c.pool, sink: sink}
+	c.run = &runState{
+		pool:          c.pool,
+		sink:          sink,
+		mergeWorkers:  make([]atomic.Pointer[sched.Worker], cfg.MaxNodes),
+		activeSources: make([]atomic.Int32, cfg.MaxNodes),
+	}
 	// On failure, closing the producers unblocks any sender spinning for
 	// credit from a consumer that will never poll again.
 	c.run.onFail = func() { c.closeProducers() }
@@ -566,14 +571,16 @@ func (c *Controller) makeTasks(id int, be *ssb.Backend, myIn []inbound, nodeFlow
 // launchNode schedules node id's tasks. Workers carry their tasks from
 // birth: AddWorker enqueues before launching, so a worker added to a live
 // pool cannot drain-and-exit before its task arrives. Source threads already
-// finished (restored as done) get no worker. Callers hold c.mu.
+// finished (restored as done) get no worker. The merge worker is registered
+// for the sources' flush doorbell. Callers hold c.mu.
 func (c *Controller) launchNode(id int) {
 	for _, st := range c.sources[id] {
 		if !st.done.Load() {
+			c.run.activeSources[id].Add(1)
 			c.pool.AddWorker(st)
 		}
 	}
-	c.pool.AddWorker(c.merges[id])
+	c.run.mergeWorkers[id].Store(c.pool.AddWorker(c.merges[id]))
 }
 
 // Start launches the deployment. Use Wait for completion; reconfigure with
@@ -772,7 +779,7 @@ func (c *Controller) Quiesced() bool {
 // merge tasks keep running: in-flight chunks keep draining through the
 // ordinary late-merge path while sources hold.
 func (c *Controller) pause() error {
-	if c.run.frozen.Load() {
+	if c.run.isFrozen() {
 		// A node restart is tearing the mesh down; frozen sources cannot
 		// quiesce (they must not flush), so the spin below would deadlock
 		// against the restart waiting for reconfigMu.
@@ -784,7 +791,7 @@ func (c *Controller) pause() error {
 			c.resume()
 			return err
 		}
-		if c.run.frozen.Load() {
+		if c.run.isFrozen() {
 			c.resume()
 			return ErrRecovering
 		}

@@ -317,8 +317,10 @@ type runState struct {
 	// frozen gates sources harder than paused: during a node restart they
 	// idle WITHOUT flushing (a flush would hit links that are being torn
 	// down), while merge tasks keep draining so the restored node's replayed
-	// traffic lands. Set only by the recovery plane.
-	frozen atomic.Bool
+	// traffic lands. It counts the restarts in progress, so one that
+	// finishes cannot thaw another still waiting for reconfigMu. Set only by
+	// the recovery plane.
+	frozen atomic.Int32
 	// retryGen counts completed node restarts. A source task that parks on a
 	// failed flush records the generation it saw and retries the flush once
 	// the generation advanced (the failed link was rebuilt by then).
@@ -326,10 +328,44 @@ type runState struct {
 	// fenced marks nodes the recovery plane is tearing down; their tasks
 	// exit at the next step instead of touching the dying mesh. Nil when
 	// recovery is off (never fenced).
-	fenced  []atomic.Bool
-	errOnce sync.Once
-	errVal  atomic.Value
+	fenced []atomic.Bool
+	// mergeWorkers holds, per node id, the worker running the node's merge
+	// task in this process (nil for a remote or not-yet-launched node). A
+	// source that flushed rings them so the merge polls its chunks now
+	// rather than at the worker's fallback park timer.
+	mergeWorkers []atomic.Pointer[sched.Worker]
+	// activeSources counts, per node id, the source tasks launched in this
+	// process that have not returned Done. A merge task leaves only once no
+	// local source can still send it anything: a restart re-runs threads
+	// whose end of stream every leader already saw, and the chunks they
+	// send again must still be drained.
+	activeSources []atomic.Int32
+	errOnce       sync.Once
+	errVal        atomic.Value
 }
+
+// sourcesActive reports whether a source task of node (any node when node
+// is negative) launched in this process may still send chunks.
+func (r *runState) sourcesActive(node int) bool {
+	for i := range r.activeSources {
+		if (node < 0 || i == node) && r.activeSources[i].Load() > 0 {
+			return true
+		}
+	}
+	return false
+}
+
+// wakeMerges rings every local merge worker's doorbell.
+func (r *runState) wakeMerges() {
+	for i := range r.mergeWorkers {
+		if w := r.mergeWorkers[i].Load(); w != nil {
+			w.Wake()
+		}
+	}
+}
+
+// isFrozen reports whether a node restart is in progress.
+func (r *runState) isFrozen() bool { return r.frozen.Load() > 0 }
 
 // isFenced reports whether node's tasks must exit for a restart.
 func (r *runState) isFenced(node int) bool {

@@ -95,24 +95,36 @@ func TestRunSurvivesLinkFlap(t *testing.T) {
 	cfg := smallConfig(2, 2)
 	cfg.Fabric.Faults = fi
 
-	// Flap the link while the run is in flight: the default retry budget is
-	// 7 attempts x 200us, so a ~500us cut is invisible to the application.
+	// Flap the link while the run is in flight. Each flap is measured in
+	// drops, not wall time: the cut heals after dropping 2 attempts. A timed
+	// cut is not absorbed reliably, because a sub-millisecond sleep lasts
+	// about a millisecond on an idle host and a restoring goroutine may be
+	// scheduled late. Three flaps drop 6 attempts in all, so even a request
+	// that retries across every flap stays inside the default budget of 7.
+	const flaps, dropsPerFlap = 3, 2
 	stop := make(chan struct{})
+	flapped := make(chan struct{})
 	go func() {
-		for {
+		defer close(flapped)
+		for i := 0; i < flaps; i++ {
+			fi.CutLinkForDrops("node0", "node1", dropsPerFlap)
+			for fi.LinkDown("node0", "node1") {
+				select {
+				case <-stop:
+					return
+				case <-time.After(100 * time.Microsecond):
+				}
+			}
 			select {
 			case <-stop:
 				return
-			default:
+			case <-time.After(2 * time.Millisecond):
 			}
-			fi.CutLink("node0", "node1")
-			time.Sleep(300 * time.Microsecond)
-			fi.RestoreLink("node0", "node1")
-			time.Sleep(2 * time.Millisecond)
 		}
 	}()
 	rep, err := Run(cfg, q, flows, nil)
 	close(stop)
+	<-flapped
 	if err != nil {
 		t.Fatalf("run died on a transient flap: %v", err)
 	}

@@ -66,10 +66,10 @@ func (a *flowBatchAdapter) Batch(rb *stream.RecordBatch) bool {
 // datasets into it, §8.2.1). Batch fills are four column copies; Next serves
 // engines that still read record-at-a-time.
 type ColumnarFlow struct {
-	keys      []uint64
-	times     []int64
-	v0, v1    []int64
-	pos       int
+	keys   []uint64
+	times  []int64
+	v0, v1 []int64
+	pos    int
 }
 
 // NewColumnarFlow transposes recs into columns once, at materialize time.

@@ -302,12 +302,24 @@ func (r *replayRing) prune(committed []uint64) {
 	r.mu.Unlock()
 }
 
-// clear empties the ring (the sender restarts and will re-produce its
-// un-committed epochs itself, so retained entries would only duplicate).
-func (r *replayRing) clear() {
+// dropReplayed removes the entries a restarted sender re-produces: for each
+// thread in from, every entry above epoch from[thread]. An eviction above
+// that epoch no longer costs anything, since the epoch is sent again.
+func (r *replayRing) dropReplayed(from map[int]uint64) {
 	r.mu.Lock()
-	r.entries, r.head = nil, 0
-	r.evicted = map[int]uint64{}
+	kept := make([]ringEntry, 0, len(r.entries)-r.head)
+	for _, e := range r.entries[r.head:] {
+		if base, ok := from[e.thread]; ok && e.epoch > base {
+			continue
+		}
+		kept = append(kept, e)
+	}
+	r.entries, r.head = kept, 0
+	for th, base := range from {
+		if ep, ok := r.evicted[th]; ok && ep > base {
+			r.evicted[th] = base
+		}
+	}
 	r.mu.Unlock()
 }
 
@@ -475,7 +487,7 @@ collect:
 	// links down on purpose; its reports look exactly like a failure until
 	// the incarnation bump marks them stale. Judge only once no restart is
 	// in flight.
-	for c.run.frozen.Load() {
+	for c.run.isFrozen() {
 		if c.run.err() != nil {
 			return
 		}
@@ -589,8 +601,8 @@ func (c *Controller) restartNodeExpect(x, expect int) error {
 	if ro == nil {
 		return fmt.Errorf("core: recovery is not configured")
 	}
-	c.run.frozen.Store(true)
-	defer c.run.frozen.Store(false)
+	c.run.frozen.Add(1)
+	defer c.run.frozen.Add(-1)
 	c.reconfigMu.Lock()
 	defer c.reconfigMu.Unlock()
 	start := time.Now()
@@ -635,7 +647,11 @@ func (c *Controller) restartNodeExpect(x, expect int) error {
 	wasRetiring := c.retiring[x]
 	c.mu.Unlock()
 
-	// Wait for the fenced tasks' workers to let go of them.
+	// Wait for the fenced tasks' workers to let go of them, and for every
+	// source step that began before the freeze to end: a flush in progress
+	// elsewhere would otherwise send to x through the links rebuilt below,
+	// racing the ring replay. Fencing closed x's producers, so a flush
+	// blocked on x has failed by now.
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		exited := sts == nil || sts.exited.Load()
@@ -644,14 +660,14 @@ func (c *Controller) restartNodeExpect(x, expect int) error {
 				exited = false
 			}
 		}
-		if exited {
+		if exited && !c.sourceStepping() {
 			break
 		}
 		if err := c.run.err(); err != nil {
 			return err // the run died under the restart (e.g. journal failure)
 		}
 		if time.Now().After(deadline) {
-			err := fmt.Errorf("%w: node %d tasks did not exit after fencing", ErrUnrecoverable, x)
+			err := fmt.Errorf("%w: node %d tasks did not exit after fencing, or source steps did not drain", ErrUnrecoverable, x)
 			c.run.fail(err)
 			return err
 		}
@@ -714,14 +730,6 @@ func (c *Controller) restartNodeExpect(x, expect int) error {
 	// injector fault state keyed on it stays with the dead incarnation.
 	c.fabric.RemoveNIC(oldName)
 	c.nodeInc[x]++
-	// The node's own outbound rings restart empty: its journaled source
-	// plan re-produces every epoch the receivers have not committed, so
-	// retained entries would only duplicate epochs in the ring.
-	for m := range c.rings[x] {
-		if r := c.rings[x][m]; r != nil {
-			r.clear()
-		}
-	}
 	liveNow := c.live[:0:0]
 	for _, m := range c.live {
 		if m != x {
@@ -754,6 +762,21 @@ func (c *Controller) restartNodeExpect(x, expect int) error {
 	plans, err := c.buildPlans(x, marks, restored, oldDone, nil)
 	if err != nil {
 		return fail(err)
+	}
+	// The node's own outbound rings drop what its replay plans re-produce,
+	// which would only duplicate epochs in the ring. The rest stays: every
+	// live receiver merged it, but one that fails later restores only its
+	// last checkpoint and may need it again.
+	replayFrom := map[int]uint64{}
+	for th, pr := range plans {
+		if !pr.done {
+			replayFrom[x*c.cfg.ThreadsPerNode+th] = pr.epoch
+		}
+	}
+	for _, r := range c.rings[x] {
+		if r != nil {
+			r.dropReplayed(replayFrom)
+		}
 	}
 	if err := c.makeTasks(x, be, myIn, c.flows[x], plans); err != nil {
 		return fail(err)
@@ -827,6 +850,20 @@ func (c *Controller) restartNodeExpect(x, expect int) error {
 	// Parked flushes may retry: their links exist again.
 	c.run.retryGen.Add(1)
 	return nil
+}
+
+// sourceStepping reports whether any source task is inside a step.
+func (c *Controller) sourceStepping() bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for _, sts := range c.sources {
+		for _, st := range sts {
+			if st.stepping.Load() {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // replayJournal replays node x's journal into its fresh backend, in order:

@@ -143,14 +143,29 @@ func TestRecoveryAutoRestartOnIsolatedNode(t *testing.T) {
 	cfg := recoveryConfig(nodes, threads, recovery.NewMemStore())
 	cfg.Fabric.Faults = fi
 	cfg.Recovery.AutoRestart = true
+	// The fence at 500 opens only after the kill: a dead NIC is detected
+	// only by traffic that touches it, and a run that already shipped
+	// everything would send none.
+	gates := make([]*GatedFlow, nodes*threads)
+	flows := make([][]Flow, nodes)
+	for n := range flows {
+		flows[n] = make([]Flow, threads)
+		for th := range flows[n] {
+			gates[n*threads+th] = NewGatedFlow(recs[n*threads+th], 500)
+			flows[n][th] = gates[n*threads+th]
+		}
+	}
 	col := &Collector{}
-	ctrl, err := NewController(cfg, sumQuery("recover-auto"), sliceFlowsOf(recs, threads), col)
+	ctrl, err := NewController(cfg, sumQuery("recover-auto"), flows, col)
 	if err != nil {
 		t.Fatalf("NewController: %v", err)
 	}
 	ctrl.Start()
 	waitFor(t, "node 1 merge progress", func() bool { return mergedChunks(ctrl, 1) > 40 })
 	fi.IsolateNIC("node1")
+	for _, g := range gates {
+		g.Open()
+	}
 	rep, err := waitReport(t, ctrl)
 	if err != nil {
 		t.Fatalf("run failed despite auto-recovery: %v", err)
@@ -192,12 +207,16 @@ func TestRecoveryDoubleFailureSameNode(t *testing.T) {
 	cfg := recoveryConfig(nodes, threads, recovery.NewMemStore())
 	cfg.Fabric.Faults = fi
 	cfg.Recovery.AutoRestart = true
+	// Phase A is split by a fence at 250 that opens only after the first
+	// kill: a failure is detected only by traffic that touches the dead NIC,
+	// and sources that already shipped everything below the fence and parked
+	// would send none.
 	gates := make([]*GatedFlow, nodes*threads)
 	flows := make([][]Flow, nodes)
 	for n := 0; n < nodes; n++ {
 		flows[n] = make([]Flow, threads)
 		for th := 0; th < threads; th++ {
-			g := NewGatedFlow(recs[n*threads+th], 500)
+			g := NewGatedFlow(recs[n*threads+th], 250, 500)
 			gates[n*threads+th] = g
 			flows[n][th] = g
 		}
@@ -210,10 +229,13 @@ func TestRecoveryDoubleFailureSameNode(t *testing.T) {
 	ctrl.Start()
 	waitFor(t, "node 1 merge progress", func() bool { return mergedChunks(ctrl, 1) > 20 })
 	fi.IsolateNIC("node1")
+	for _, g := range gates {
+		g.Open()
+	}
 	waitFor(t, "first recovery", func() bool { return len(ctrl.Recoveries()) >= 1 })
 	waitFor(t, "all sources parked at the fence", func() bool {
 		for _, g := range gates {
-			if !g.AtFence(0) {
+			if !g.AtFence(1) {
 				return false
 			}
 		}
@@ -302,7 +324,20 @@ func TestRecoveryReplayHorizonExhausted(t *testing.T) {
 	cfg := recoveryConfig(nodes, threads, recovery.NewMemStore())
 	cfg.Recovery.CheckpointCommits = 1 << 30 // never checkpoint
 	cfg.Recovery.ReplayRing = 2              // evict almost immediately
-	ctrl, err := NewController(cfg, sumQuery("recover-horizon"), sliceFlowsOf(recs, threads), &Collector{})
+	// A window trigger also writes a checkpoint, and the final one covers
+	// every epoch. One window spans the whole input and the flows stop at a
+	// fence that never opens, so nothing fires before the restart, however
+	// late the restart comes.
+	win, _ := window.NewTumbling(1 << 20)
+	q := &Query{Name: "recover-horizon", Codec: testCodec, Window: win, Agg: crdt.Sum{}}
+	flows := make([][]Flow, nodes)
+	for n := range flows {
+		flows[n] = make([]Flow, threads)
+		for th := range flows[n] {
+			flows[n][th] = NewGatedFlow(recs[n*threads+th], 500)
+		}
+	}
+	ctrl, err := NewController(cfg, q, flows, &Collector{})
 	if err != nil {
 		t.Fatalf("NewController: %v", err)
 	}
@@ -316,6 +351,13 @@ func TestRecoveryReplayHorizonExhausted(t *testing.T) {
 	}
 }
 
+// noRewindFlow is a fenced flow that cannot rewind: it exposes GatedFlow's
+// Next and Ready but not its Rewind.
+type noRewindFlow struct{ g *GatedFlow }
+
+func (f noRewindFlow) Next(rec *stream.Record) bool { return f.g.Next(rec) }
+func (f noRewindFlow) Ready() bool                  { return f.g.Ready() }
+
 // TestRecoveryUnrewindableFlow: a flow that cannot rewind makes its node
 // unrecoverable — the restart must say so rather than re-ingest from a wrong
 // position.
@@ -323,22 +365,13 @@ func TestRecoveryUnrewindableFlow(t *testing.T) {
 	const nodes, threads, per = 2, 2, 8000
 	rng := rand.New(rand.NewSource(37))
 	recs, _ := genPhase(rng, nodes*threads, per, 64, 0, 1000)
-	mkFlow := func(rs []stream.Record) Flow {
-		i := 0
-		return FuncFlow(func(rec *stream.Record) bool { // FuncFlow cannot Rewind
-			if i >= len(rs) {
-				return false
-			}
-			*rec = rs[i]
-			i++
-			return true
-		})
-	}
+	// The flows stop at a fence that never opens, so no thread of node 1
+	// has finished (and needs no rewind) by the time of the restart.
 	flows := make([][]Flow, nodes)
 	for n := 0; n < nodes; n++ {
 		flows[n] = make([]Flow, threads)
 		for th := 0; th < threads; th++ {
-			flows[n][th] = mkFlow(recs[n*threads+th])
+			flows[n][th] = noRewindFlow{NewGatedFlow(recs[n*threads+th], 500)}
 		}
 	}
 
@@ -435,5 +468,51 @@ func TestRecoveryRestartDrainingLeaver(t *testing.T) {
 	}
 	if !restarted {
 		t.Fatalf("recoveries = %+v, want node 2 restarted", rep.Recoveries)
+	}
+}
+
+// TestReplayRingDropReplayed pins what a restarted sender's rings keep: the
+// epochs its rewound sources send again go, older entries stay for a
+// receiver that fails later, and an eviction above the rewind point stops
+// counting against the replay horizon.
+func TestReplayRingDropReplayed(t *testing.T) {
+	r := newReplayRing(4)
+	for ep := uint64(1); ep <= 5; ep++ {
+		r.push(0, ep, []byte{byte(ep)})
+	}
+	r.push(1, 3, []byte{30}) // thread 1 restored done: not in the plan map
+	// Capacity 4 evicted thread 0's epochs 1 and 2.
+	if err := r.horizonErr([]uint64{2, 0}); err != nil {
+		t.Fatalf("horizon before drop: %v", err)
+	}
+	if err := r.horizonErr([]uint64{1, 0}); err == nil {
+		t.Fatal("evicted epoch 2 above a horizon of 1 went unreported")
+	}
+
+	r.dropReplayed(map[int]uint64{0: 1})
+	var got [][2]uint64
+	for _, e := range r.entries[r.head:] {
+		got = append(got, [2]uint64{uint64(e.thread), e.epoch})
+	}
+	if want := [][2]uint64{{1, 3}}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("kept %v, want %v", got, want)
+	}
+	// Epoch 2 is sent again by the rewound sources, so its eviction no
+	// longer makes a receiver at horizon 1 unrecoverable.
+	if err := r.horizonErr([]uint64{1, 0}); err != nil {
+		t.Fatalf("horizon after drop: %v", err)
+	}
+
+	r = newReplayRing(8)
+	for ep := uint64(1); ep <= 4; ep++ {
+		r.push(0, ep, []byte{byte(ep)})
+	}
+	r.dropReplayed(map[int]uint64{0: 2})
+	got = got[:0]
+	for _, e := range r.entries[r.head:] {
+		got = append(got, [2]uint64{uint64(e.thread), e.epoch})
+	}
+	if want := [][2]uint64{{0, 1}, {0, 2}}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("kept %v, want %v", got, want)
 	}
 }

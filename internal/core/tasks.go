@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -89,6 +90,11 @@ func (s *chanSender) Send(c *ssb.Chunk) error {
 		s.ring.push(c.Thread, c.Epoch, sb.Data[:n])
 	}
 	if err := s.prod.Post(sb, n); err != nil {
+		// The same droppable race as above, caught one step later: the
+		// detach closed the queue pair after Acquire handed out the slot.
+		if s.detached.Load() && c.Kind == ssb.ChunkHeartbeat {
+			return nil
+		}
 		return s.report(s.wrap(err))
 	}
 	return nil
@@ -182,6 +188,10 @@ type sourceTask struct {
 	// exited flips when Step returned Done for any reason — the recovery
 	// plane's signal that a fenced node's worker let go of the task.
 	exited atomic.Bool
+	// stepping is set while Step runs. A restart waits for every source to
+	// be out of its step once frozen is set: a flush that started before
+	// the freeze must not race the rebuilt links or the ring replay.
+	stepping atomic.Bool
 
 	// Recovery plumbing; all nil/zero when the plane is off. jrn journals a
 	// source-progress intent before every flush; plan replays a restarted
@@ -218,9 +228,17 @@ func (t *sourceTask) Name() string {
 // Step implements sched.Task: process one batch of records, flushing state
 // at epoch boundaries.
 func (t *sourceTask) Step() sched.Status {
+	// Set before step reads frozen, so a restart that sets frozen and then
+	// sees no step in progress cannot miss one that is starting.
+	t.stepping.Store(true)
 	st := t.step()
+	t.stepping.Store(false)
 	if st == sched.Done {
 		t.exited.Store(true)
+		if t.run.activeSources[t.node].Add(-1) == 0 {
+			// A merge task may have been waiting only for this.
+			t.run.wakeMerges()
+		}
 	}
 	return st
 }
@@ -232,7 +250,7 @@ func (t *sourceTask) step() sched.Status {
 		// republishes counts from its journaled rewind point.
 		return sched.Done
 	}
-	if t.run.frozen.Load() {
+	if t.run.isFrozen() {
 		// A restart is rebuilding part of the mesh: idle WITHOUT flushing
 		// (the flush could target a link mid-teardown).
 		return sched.Idle
@@ -262,12 +280,13 @@ func (t *sourceTask) step() sched.Status {
 		return sched.Idle
 	}
 	t.quiesced.Store(false)
+	if t.bflow != nil {
+		// A batch fill stops at the fence itself (see BatchFlow).
+		return t.stepBatch()
+	}
 	if t.gate != nil && !t.gate.Ready() {
 		// The flow is fenced (see GatedFlow): park without ending the stream.
 		return sched.Idle
-	}
-	if t.bflow != nil {
-		return t.stepBatch()
 	}
 	return t.stepRecords()
 }
@@ -364,6 +383,10 @@ func (t *sourceTask) stepRecords() sched.Status {
 // accounting sees the same per-step record counts, and end-of-flow finishes
 // in the same step that consumed the final record — so flush points, chunk
 // bytes, and therefore window results match the per-record path exactly.
+// The one difference: a batch that comes back short parks the task (Idle,
+// not Ready), and a task about to park ships any closed window first (see
+// flushDue). A flow that runs dry mid-stream therefore adds flush points;
+// merged results are unchanged, since CRDT merges do not depend on them.
 func (t *sourceTask) stepBatch() sched.Status {
 	var start time.Time
 	if t.mStep != nil {
@@ -390,14 +413,15 @@ func (t *sourceTask) stepBatch() sched.Status {
 	more := t.bflow.Batch(rb)
 	n := rb.Len()
 	if n == 0 {
-		if more {
-			// Gated or momentarily dry: a genuine no-op step.
+		if more && !t.flushDue() {
+			// Gated or momentarily dry, with nothing to ship: a genuine
+			// no-op step.
 			return sched.Idle
 		}
 		if t.mStep != nil {
 			defer t.observe(start)
 		}
-		return t.runFlush(true)
+		return t.runFlush(!more)
 	}
 	if t.mStep != nil {
 		defer t.observe(start)
@@ -422,7 +446,24 @@ func (t *sourceTask) stepBatch() sched.Status {
 		// Epoch boundary: run the synchronization phase (§7.2.2).
 		return t.runFlush(false)
 	}
+	if n < limit {
+		// The flow ran dry before filling the batch: park until it has
+		// more, shipping any closed window first.
+		if t.flushDue() {
+			return t.runFlush(false)
+		}
+		return sched.Idle
+	}
 	return sched.Ready
+}
+
+// flushDue reports whether a source about to park must flush first: its
+// thread holds state for a window its watermark has passed. Parked on a dry
+// flow, it could hold that window's rows back until the next epoch
+// boundary, however long the flow stays dry. A replay plan fixes the flush
+// points instead.
+func (t *sourceTask) flushDue() bool {
+	return len(t.plan) == 0 && t.ts.HoldsClosedWindow()
 }
 
 // processBatch runs the operator pipeline over one filled batch. It returns
@@ -526,6 +567,10 @@ func (t *sourceTask) runFlush(finish bool) sched.Status {
 		return sched.Done
 	}
 	t.flushPend, t.finishPend = false, false
+	// Ring the merge workers so they poll the chunks now, and yield once so
+	// a woken merge runs before this source refills its batch.
+	t.run.wakeMerges()
+	runtime.Gosched()
 	if finish {
 		// Publish counts only after FinishStream landed: a crash between
 		// publish and finish would double-count once the replacement task
@@ -726,8 +771,8 @@ func (t *mergeTask) step() sched.Status {
 			progress = true
 		}
 	}
-	if t.be.PendingWindows() == 0 {
-		if t.be.Clock().Covers(math.MaxInt64) {
+	if t.be.PendingWindows() == 0 && !t.run.isFrozen() {
+		if t.be.Clock().Covers(math.MaxInt64) && !t.run.sourcesActive(-1) {
 			if t.retiring.Load() && t.onRetire != nil {
 				t.onRetire(t.node)
 			}
@@ -737,7 +782,7 @@ func (t *mergeTask) step() sched.Status {
 		// leave as soon as the cluster covered the last window it does own —
 		// FIFO channels plus the heartbeat-after-data flush order guarantee
 		// no data chunk for a covered window is still in flight to it.
-		if t.retiring.Load() && t.be.Clock().Covers(stream.Watermark(t.retireEnd.Load())) {
+		if t.retiring.Load() && t.be.Clock().Covers(stream.Watermark(t.retireEnd.Load())) && !t.run.sourcesActive(t.node) {
 			if t.onRetire != nil {
 				t.onRetire(t.node)
 			}

@@ -175,14 +175,29 @@ func TestTrunkModeAutoRestartOnIsolatedNode(t *testing.T) {
 	cfg := trunkRecoveryConfig(nodes, threads, recovery.NewMemStore())
 	cfg.Fabric.Faults = fi
 	cfg.Recovery.AutoRestart = true
+	// The fence at 500 opens only after the kill, so traffic touches the
+	// dead NIC however far the run got before it (see
+	// TestRecoveryAutoRestartOnIsolatedNode).
+	gates := make([]*GatedFlow, nodes*threads)
+	flows := make([][]Flow, nodes)
+	for n := range flows {
+		flows[n] = make([]Flow, threads)
+		for th := range flows[n] {
+			gates[n*threads+th] = NewGatedFlow(recs[n*threads+th], 500)
+			flows[n][th] = gates[n*threads+th]
+		}
+	}
 	col := &Collector{}
-	ctrl, err := NewController(cfg, sumQuery("trunk-auto"), sliceFlowsOf(recs, threads), col)
+	ctrl, err := NewController(cfg, sumQuery("trunk-auto"), flows, col)
 	if err != nil {
 		t.Fatalf("NewController: %v", err)
 	}
 	ctrl.Start()
 	waitFor(t, "node 1 merge progress", func() bool { return mergedChunks(ctrl, 1) > 40 })
 	fi.IsolateNIC("node1")
+	for _, g := range gates {
+		g.Open()
+	}
 	rep, err := waitReport(t, ctrl)
 	if err != nil {
 		t.Fatalf("run failed despite auto-recovery: %v", err)

@@ -272,6 +272,35 @@ func TestLinkFlapAbsorbed(t *testing.T) {
 	}
 }
 
+// TestCutLinkForDropsHeals: a cut that heals after n drops costs exactly n
+// attempts, and a request inside its retry budget goes through — on both
+// engines.
+func TestCutLinkForDropsHeals(t *testing.T) {
+	for _, ec := range engineConfigs {
+		t.Run(ec.name, func(t *testing.T) {
+			fi, _, b, qa, _ := newFaultyPair(t, Config{Throttle: ec.throttle}, QPOptions{RetryCount: 3})
+			dst := b.MustRegister(8)
+
+			fi.CutLinkForDrops("a", "b", 3)
+			if !fi.LinkDown("a", "b") {
+				t.Fatal("LinkDown false after CutLinkForDrops")
+			}
+			if err := qa.PostWrite(1, []byte{1}, dst.RKey(), 0, true); err != nil {
+				t.Fatal(err)
+			}
+			if c := qa.SendCQ().Wait(); c.Err != nil {
+				t.Fatalf("completion %+v, want the cut absorbed by retry", c)
+			}
+			if s := fi.Stats(); s.Drops != 3 {
+				t.Fatalf("injector drops = %d, want 3", s.Drops)
+			}
+			if fi.LinkDown("a", "b") {
+				t.Fatal("link still down after its drop budget")
+			}
+		})
+	}
+}
+
 // TestFailQP kills one QP by id without consuming the retry budget.
 func TestFailQP(t *testing.T) {
 	fi, _, b, qa, qb := newFaultyPair(t, Config{}, QPOptions{})

@@ -54,6 +54,7 @@ type FaultInjector struct {
 type linkState struct {
 	down     bool
 	cutAfter int64 // cut once ops reaches this count; 0 = no trigger
+	healIn   int64 // heal after this many more drops; 0 = stay down
 	ops      int64
 }
 
@@ -130,6 +131,19 @@ func (fi *FaultInjector) CutLinkAfterOps(a, b string, n int64) {
 	fi.mu.Unlock()
 }
 
+// CutLinkForDrops partitions the link between a and b like CutLink, and
+// heals it by itself once n attempts were dropped on it: a flap measured in
+// transport attempts rather than wall time, so whether the transport absorbs
+// it does not depend on timer granularity or on when a restoring goroutine
+// gets scheduled.
+func (fi *FaultInjector) CutLinkForDrops(a, b string, n int64) {
+	fi.mu.Lock()
+	ls := fi.link(a, b)
+	ls.down = true
+	ls.healIn = n
+	fi.mu.Unlock()
+}
+
 // RestoreLink heals the link between a and b. Requests still inside their
 // retry budget resume on the next attempt — a cut-plus-restore shorter than
 // the budget is a link flap the transport absorbs.
@@ -138,6 +152,7 @@ func (fi *FaultInjector) RestoreLink(a, b string) {
 	ls := fi.link(a, b)
 	ls.down = false
 	ls.cutAfter = 0
+	ls.healIn = 0
 	fi.mu.Unlock()
 }
 
@@ -226,6 +241,10 @@ func (fi *FaultInjector) decide(local, remote, qpID string) (faultAction, time.D
 		ls.cutAfter = 0
 	}
 	if ls.down {
+		if ls.healIn > 0 {
+			ls.healIn--
+			ls.down = ls.healIn > 0
+		}
 		fi.drops++
 		fi.mDrops.Inc()
 		return faultDrop, 0

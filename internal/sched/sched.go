@@ -2,8 +2,14 @@
 // the Slash executor (§5.3). Each worker thread owns a private run queue of
 // cooperative tasks and interleaves RDMA tasks (polling channels) with
 // compute tasks (processing polled buffers). A task that reports no work is
-// parked with exponential back-off so empty RDMA channels never stall
+// skipped for the rest of the pass so empty RDMA channels never stall
 // pending compute tasks; a task that made progress is stepped again soon.
+//
+// A worker whose every task is idle yields for a short spin and then parks
+// until its doorbell rings (Wake) — the producer of its work, such as a
+// source that just flushed chunks to a merge worker, rings it — or until a
+// fallback timer fires, for inputs that cannot ring: external and gated
+// flows and links to other processes.
 //
 // Go has no first-class coroutines; tasks are explicit state machines with a
 // Step contract, which gives the same fine-grained interleaving (and ~ns
@@ -77,6 +83,20 @@ type Worker struct {
 	readySteps atomic.Uint64
 	idleRounds atomic.Uint64
 	stopped    atomic.Bool
+
+	// wake is the doorbell: one slot, so any number of rings while the
+	// worker runs coalesce into a single wake-up, and a ring that lands
+	// before the worker parks is kept for it. timer is the fallback timer of
+	// length fallback, owned by the worker goroutine and reused so parking
+	// allocates nothing.
+	wake     chan struct{}
+	timer    *time.Timer
+	fallback time.Duration
+}
+
+// newWorker returns worker id with its doorbell.
+func newWorker(id int) *Worker {
+	return &Worker{id: id, wake: make(chan struct{}, 1), fallback: parkFallback}
 }
 
 // ID returns the worker index within its pool.
@@ -87,6 +107,17 @@ func (w *Worker) Add(t Task) {
 	w.mu.Lock()
 	w.pending = append(w.pending, t)
 	w.mu.Unlock()
+	w.Wake()
+}
+
+// Wake rings the worker's doorbell: a parked worker resumes its pass at
+// once instead of at the fallback timer, and a running worker skips its next
+// park. Safe to call from any goroutine; it never blocks.
+func (w *Worker) Wake() {
+	select {
+	case w.wake <- struct{}{}:
+	default:
+	}
 }
 
 // Stats snapshots the worker counters.
@@ -130,7 +161,9 @@ func (w *Worker) run() {
 			case Idle:
 				kept = append(kept, t)
 			case Done:
-				// dropped
+				// Dropped. Finishing counts as progress: a pass that
+				// empties the queue must not park before the worker exits.
+				progressed = true
 			default:
 				panic(fmt.Sprintf("sched: task %q returned invalid status %d", t.Name(), st))
 			}
@@ -140,22 +173,52 @@ func (w *Worker) run() {
 			idleStreak = 0
 			continue
 		}
-		// Every task is parked: yield the core, escalating to short sleeps
-		// under a sustained idle streak. This is the scheduler parking the
-		// RDMA coroutines (§5.3) — without it, polling workers would burn
-		// the cycles the paper's drill-down attributes to pause-instruction
-		// loops and starve compute workers on small hosts.
+		// Every task is idle: yield the core for a short spin, then park on
+		// the doorbell. This is the scheduler parking the RDMA coroutines
+		// (§5.3) — without it, polling workers would burn the cycles the
+		// paper's drill-down attributes to pause-instruction loops and
+		// starve compute workers on small hosts.
 		w.idleRounds.Add(1)
 		idleStreak++
-		if idleStreak < 16 {
+		if idleStreak < idleSpins {
 			runtime.Gosched()
 		} else {
-			d := time.Duration(idleStreak-15) * 5 * time.Microsecond
-			if d > 200*time.Microsecond {
-				d = 200 * time.Microsecond
-			}
-			time.Sleep(d)
+			w.park()
 		}
+	}
+}
+
+// idleSpins is the number of consecutive all-idle passes a worker yields
+// with runtime.Gosched before it parks.
+const idleSpins = 16
+
+// parkFallback bounds a park for work that arrives without a doorbell.
+// Go's timers are only as fine as the runtime's netpoller wait, which rounds
+// up to a millisecond when every P is idle, so asking for less buys nothing
+// on an idle host; on a busy one the timer fires close to its deadline.
+const parkFallback = time.Millisecond
+
+// park blocks the worker until Wake or the fallback timer. The module builds
+// with pre-1.23 timer semantics (go.mod says go 1.22), where a fired timer
+// leaves its tick buffered in C, so the timer is stopped and drained before
+// every Reset; a tick that fires just as a wake-up stops the timer can still
+// land after the drain, and it only ends a later park early.
+func (w *Worker) park() {
+	if w.timer == nil {
+		w.timer = time.NewTimer(w.fallback)
+	} else {
+		if !w.timer.Stop() {
+			select {
+			case <-w.timer.C:
+			default:
+			}
+		}
+		w.timer.Reset(w.fallback)
+	}
+	select {
+	case <-w.wake:
+		w.timer.Stop()
+	case <-w.timer.C:
 	}
 }
 
@@ -180,7 +243,7 @@ func NewPool(n int) *Pool {
 	p := &Pool{workers: make([]*Worker, n)}
 	p.cond = sync.NewCond(&p.mu)
 	for i := range p.workers {
-		p.workers[i] = &Worker{id: i}
+		p.workers[i] = newWorker(i)
 	}
 	return p
 }
@@ -239,7 +302,7 @@ func (p *Pool) Start() {
 func (p *Pool) AddWorker(tasks ...Task) *Worker {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	w := &Worker{id: len(p.workers)}
+	w := newWorker(len(p.workers))
 	w.pending = append(w.pending, tasks...)
 	p.workers = append(p.workers, w)
 	if p.started {
@@ -264,12 +327,14 @@ func (p *Pool) Run() {
 	p.Wait()
 }
 
-// Stop asks every worker to exit after its current pass.
+// Stop asks every worker to exit after its current pass, waking parked
+// ones.
 func (p *Pool) Stop() {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	for _, w := range p.workers {
 		w.stopped.Store(true)
+		w.Wake()
 	}
 }
 

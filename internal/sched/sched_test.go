@@ -3,6 +3,7 @@ package sched
 import (
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 func TestSingleTaskRunsToCompletion(t *testing.T) {
@@ -201,4 +202,93 @@ func TestEmptyPoolRuns(t *testing.T) {
 		close(done)
 	}()
 	<-done
+}
+
+// runWithin runs the pool and fails the test if it has not drained by the
+// deadline, instead of hanging the binary.
+func runWithin(t *testing.T, p *Pool, d time.Duration) {
+	t.Helper()
+	done := make(chan struct{})
+	go func() {
+		p.Run()
+		close(done)
+	}()
+	select {
+	case <-done:
+	case <-time.After(d):
+		p.Stop()
+		t.Fatalf("pool did not drain within %v", d)
+	}
+}
+
+func TestWakeResumesParkedWorker(t *testing.T) {
+	// The fallback timer is an hour, so only the doorbell can end the park.
+	p := NewPool(0)
+	var rung atomic.Bool
+	w := p.AddWorker(TaskFunc{TaskName: "wait-for-ring", Fn: func() Status {
+		if rung.Load() {
+			return Done
+		}
+		return Idle
+	}})
+	w.fallback = time.Hour
+	go func() {
+		// Past the spin, the worker parks at its next idle pass.
+		for w.Stats().IdleRounds < idleSpins {
+			time.Sleep(50 * time.Microsecond)
+		}
+		rung.Store(true)
+		w.Wake()
+	}()
+	runWithin(t, p, 10*time.Second)
+}
+
+func TestFallbackStepsUnrungIdleTask(t *testing.T) {
+	// Nothing ever rings: the task reaches Done only through fallback wakes.
+	p := NewPool(0)
+	n := 0
+	w := p.AddWorker(TaskFunc{TaskName: "unrung", Fn: func() Status {
+		n++
+		if n == idleSpins+3 {
+			return Done
+		}
+		return Idle
+	}})
+	runWithin(t, p, 10*time.Second)
+	if st := w.Stats(); st.IdleRounds < idleSpins+2 {
+		t.Fatalf("idle rounds = %d, want at least %d", st.IdleRounds, idleSpins+2)
+	}
+}
+
+func TestWakeBeforeParkIsKept(t *testing.T) {
+	// The task rings its own worker while the worker still spins; the ring
+	// must survive until the park, which then returns at once instead of
+	// waiting out the hour-long fallback.
+	p := NewPool(0)
+	var w *Worker
+	n := 0
+	w = p.AddWorker(TaskFunc{TaskName: "ring-early", Fn: func() Status {
+		n++
+		switch {
+		case n == 1:
+			w.Wake()
+		case n > idleSpins:
+			return Done
+		}
+		return Idle
+	}})
+	w.fallback = time.Hour
+	runWithin(t, p, 10*time.Second)
+}
+
+func TestParkAllocatesNothing(t *testing.T) {
+	w := newWorker(0)
+	w.fallback = 10 * time.Microsecond
+	if a := testing.AllocsPerRun(50, w.park); a != 0 {
+		t.Fatalf("park by fallback timer allocates %.1f times, want 0", a)
+	}
+	w.fallback = time.Hour
+	if a := testing.AllocsPerRun(50, func() { w.Wake(); w.park() }); a != 0 {
+		t.Fatalf("park ended by Wake allocates %.1f times, want 0", a)
+	}
 }

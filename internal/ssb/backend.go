@@ -584,9 +584,9 @@ type ThreadState struct {
 	// specialized batch dispatch; see batch.go.
 	batch   batchScratch
 	aggKind aggKind
-	wm    stream.Watermark
-	epoch uint64
-	pend  int64 // bytes ingested since last flush
+	wm      stream.Watermark
+	epoch   uint64
+	pend    int64 // bytes ingested since last flush
 
 	// inc is the thread's incarnation, stamped on every chunk: bumped when a
 	// failed flush is retried and restored (pre-bumped) after a node
@@ -868,6 +868,18 @@ func (ts *ThreadState) MaxWindow() (uint64, bool) { return ts.maxWin, ts.hasWin 
 // cutover (a dirty thread could stamp a stale generation on a later flush).
 func (ts *ThreadState) Dirty() bool {
 	return len(ts.tables) > 0 || ts.pend > 0
+}
+
+// HoldsClosedWindow reports whether the thread holds state for a window
+// whose end its watermark has passed: flushing it lets the window's leaders
+// fire the window once every other thread has passed its end too.
+func (ts *ThreadState) HoldsClosedWindow() bool {
+	for k := range ts.tables {
+		if ts.be.cfg.WindowEnd(k.win) <= ts.wm {
+			return true
+		}
+	}
+	return false
 }
 
 // Epoch returns the thread's epoch counter (the epoch of the last flush).

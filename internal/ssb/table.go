@@ -25,7 +25,7 @@ type Table struct {
 	kind aggKind        // specialized dispatch for the built-in aggregates
 	idx  *index
 	log  []byte
-	elem int // total entries appended (bag elements or agg groups)
+	elem int    // total entries appended (bag elements or agg groups)
 	wire []byte // reusable scratch for the varint delta encoding
 }
 
