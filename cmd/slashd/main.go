@@ -55,6 +55,11 @@ func main() {
 	if *listen != "" && *join != "" {
 		fatal(fmt.Errorf("-listen and -join are mutually exclusive"))
 	}
+	set := map[string]bool{}
+	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
+	if err := checkModeFlags(*listen != "", *join != "", set); err != nil {
+		fatal(err)
+	}
 	if *join != "" {
 		runWorker(*join, *rank, *ckptDir)
 		return
@@ -227,6 +232,32 @@ func main() {
 		signal.Notify(sig, os.Interrupt)
 		<-sig
 	}
+}
+
+// Flags a cluster mode never reads. inProcessOnly configure the in-process
+// run's fabric, metrics, state plane and report; runSpec fix the run, which a
+// worker takes from the coordinator instead.
+var (
+	inProcessOnly = []string{"metrics", "metrics-addr", "state-addr", "state-readers", "throttle", "results"}
+	runSpec       = []string{"workload", "nodes", "threads", "records", "epoch", "credits", "seed", "checkpoint-interval", "dump"}
+)
+
+// checkModeFlags rejects every explicitly set flag (set, as flag.Visit
+// reports them) that the selected mode would otherwise ignore silently.
+func checkModeFlags(listen, join bool, set map[string]bool) error {
+	mode, unused := "without -join", []string{"rank"}
+	switch {
+	case join:
+		mode, unused = "with -join", append(append([]string(nil), inProcessOnly...), runSpec...)
+	case listen:
+		mode, unused = "with -listen", append(append([]string(nil), inProcessOnly...), "checkpoint-dir", "rank")
+	}
+	for _, name := range unused {
+		if set[name] {
+			return fmt.Errorf("-%s has no effect %s", name, mode)
+		}
+	}
+	return nil
 }
 
 func min(a, b int) int {

@@ -333,6 +333,15 @@ func (c *Coordinator) broadcast(ranks []int, m *msg) error {
 	return nil
 }
 
+// order runs one coordinator-driven step: m goes to every listed rank, and
+// each rank's `want` reply is collected.
+func (c *Coordinator) order(ranks []int, m *msg, want kind) (map[int]*msg, error) {
+	if err := c.broadcast(ranks, m); err != nil {
+		return nil, err
+	}
+	return c.collect(want, ranks)
+}
+
 func (c *Coordinator) liveRanks() []int {
 	var out []int
 	for r, m := range c.members {
@@ -448,10 +457,7 @@ func (c *Coordinator) bootstrap() error {
 		}
 		peers[r] = *m.Halves
 	}
-	if err := c.broadcast(all, &msg{Kind: kWire, Peers: peers}); err != nil {
-		return err
-	}
-	if _, err := c.collect(kReady, all); err != nil {
+	if _, err := c.order(all, &msg{Kind: kWire, Peers: peers}, kReady); err != nil {
 		return fmt.Errorf("cluster: QP bring-up: %w", err)
 	}
 	c.opts.Logf("coordinator: %d members wired, starting", c.spec.Nodes)
@@ -528,9 +534,10 @@ func (c *Coordinator) reporterOf(m *msg) (int, bool) {
 	return -1, false
 }
 
-// restart drives the 13-step fence → restore → replay → rejoin sequence for
-// suspect x. Any step failing fails the run: a second fault mid-restart is
-// beyond the protocol.
+// restart drives the restart step list (internal/core cluster.go: freeze →
+// fence → relink → adopt → restore → replay → release) for suspect x, one
+// message kind per step. Any step failing fails the run: a second fault
+// mid-restart is beyond the protocol.
 func (c *Coordinator) restart(x int) error {
 	if c.restarts >= c.opts.MaxRestarts {
 		return fmt.Errorf("cluster: restart budget exhausted (%d)", c.opts.MaxRestarts)
@@ -538,7 +545,7 @@ func (c *Coordinator) restart(x int) error {
 	c.restarts++
 	c.opts.Logf("coordinator: restarting rank %d (restart %d)", x, c.restarts)
 
-	// 1. Retire the suspect. A live false positive is force-closed — the
+	// Retire the suspect. A live false positive is force-closed — the
 	// fence makes its incarnation unable to do further harm either way.
 	if m := c.members[x]; m != nil {
 		m.alive = false
@@ -551,21 +558,15 @@ func (c *Coordinator) restart(x int) error {
 		return errors.New("cluster: no survivors to restart from")
 	}
 
-	// 2. Freeze the survivors' sources so no flush targets the mesh mid-
+	// freeze: gate the survivors' sources so no flush targets the mesh mid-
 	// rebuild.
-	if err := c.broadcast(survivors, &msg{Kind: kFreeze, On: true}); err != nil {
-		return err
-	}
-	if _, err := c.collect(kAck, survivors); err != nil {
+	if _, err := c.order(survivors, &msg{Kind: kFreeze, On: true}, kAck); err != nil {
 		return fmt.Errorf("cluster: freeze: %w", err)
 	}
 
-	// 3. Fence: survivors sever their links to x, adopt its new incarnation,
+	// fence: survivors sever their links to x, adopt its new incarnation,
 	// and report their committed-epoch horizons.
-	if err := c.broadcast(survivors, &msg{Kind: kFence, Node: x, Inc: newInc}); err != nil {
-		return err
-	}
-	fenceAcks, err := c.collect(kFenceAck, survivors)
+	fenceAcks, err := c.order(survivors, &msg{Kind: kFence, Node: x, Inc: newInc}, kFenceAck)
 	if err != nil {
 		return fmt.Errorf("cluster: fence: %w", err)
 	}
@@ -582,7 +583,7 @@ func (c *Coordinator) restart(x int) error {
 		}
 	}
 
-	// 4. Await the respawn's registration (it may already be stashed).
+	// Await the respawn's registration (it may already be stashed).
 	hello, err := c.awaitHello(x)
 	if err != nil {
 		return err
@@ -592,17 +593,14 @@ func (c *Coordinator) restart(x int) error {
 		return fmt.Errorf("cluster: welcome respawned rank %d: %w", x, err)
 	}
 
-	// 5. MR re-exchange, scoped to x's links: x registers a full set, each
+	// relink: MR re-exchange, scoped to x's links: x registers a full set, each
 	// survivor re-registers fresh regions for the two links shared with x.
 	xHalvesMsg, err := c.collect(kHalves, []int{x})
 	if err != nil {
 		return fmt.Errorf("cluster: respawn MR exchange: %w", err)
 	}
 	xHalves := xHalvesMsg[x].Halves
-	if err := c.broadcast(survivors, &msg{Kind: kRelink, Node: x}); err != nil {
-		return err
-	}
-	relinkAcks, err := c.collect(kRelinkAck, survivors)
+	relinkAcks, err := c.order(survivors, &msg{Kind: kRelink, Node: x}, kRelinkAck)
 	if err != nil {
 		return fmt.Errorf("cluster: relink: %w", err)
 	}
@@ -611,41 +609,29 @@ func (c *Coordinator) restart(x int) error {
 		peersForX[r] = *ack.Halves
 	}
 
-	// 6. QP bring-up, both directions. x applies its wire before reading the
+	// relink, continued: QP bring-up, both directions. x applies its wire before reading the
 	// restore order (same connection, in order); survivors ack theirs.
 	if err := c.members[x].sess.send(&msg{Kind: kWire, Peers: peersForX}); err != nil {
 		return err
 	}
-	if err := c.broadcast(survivors, &msg{Kind: kWire, Peers: map[int]Halves{x: *xHalves}}); err != nil {
-		return err
-	}
-	if _, err := c.collect(kAck, survivors); err != nil {
+	if _, err := c.order(survivors, &msg{Kind: kWire, Peers: map[int]Halves{x: *xHalves}}, kAck); err != nil {
 		return fmt.Errorf("cluster: rewire: %w", err)
 	}
 
-	// 7. Survivors adopt the rebuilt links into their meshes.
-	if err := c.broadcast(survivors, &msg{Kind: kAdopt, Node: x}); err != nil {
-		return err
-	}
-	if _, err := c.collect(kAck, survivors); err != nil {
+	// adopt: survivors wire the rebuilt links into their meshes.
+	if _, err := c.order(survivors, &msg{Kind: kAdopt, Node: x}, kAck); err != nil {
 		return fmt.Errorf("cluster: adopt: %w", err)
 	}
 
-	// 8. x restores from its journal at the cluster-wide commit horizon.
-	if err := c.members[x].sess.send(&msg{Kind: kRestore, Committed: committed}); err != nil {
-		return err
-	}
-	restoreAck, err := c.collect(kRestoreAck, []int{x})
+	// restore: x rebuilds from its journal at the cluster-wide commit horizon.
+	restoreAck, err := c.order([]int{x}, &msg{Kind: kRestore, Committed: committed}, kRestoreAck)
 	if err != nil {
 		return fmt.Errorf("cluster: restore: %w", err)
 	}
 	restored := restoreAck[x].Restored
 
-	// 9. Survivors re-deliver retained ring entries above x's horizon.
-	if err := c.broadcast(survivors, &msg{Kind: kReplay, Node: x, Restored: restored}); err != nil {
-		return err
-	}
-	replayAcks, err := c.collect(kReplayAck, survivors)
+	// replay: survivors re-deliver retained ring entries above x's horizon.
+	replayAcks, err := c.order(survivors, &msg{Kind: kReplay, Node: x, Restored: restored}, kReplayAck)
 	if err != nil {
 		return fmt.Errorf("cluster: replay: %w", err)
 	}
@@ -654,7 +640,7 @@ func (c *Coordinator) restart(x int) error {
 		replayed += ack.Chunks
 	}
 
-	// 10. Release everyone and reset the idle bookkeeping — members that
+	// release: thaw everyone and reset the idle bookkeeping — members that
 	// reported idle before the fault re-report against the rebuilt mesh.
 	live := c.liveRanks()
 	if err := c.broadcast(live, &msg{Kind: kFreeze, On: false}); err != nil {
@@ -668,13 +654,20 @@ func (c *Coordinator) restart(x int) error {
 	return nil
 }
 
-// awaitHello returns the admissible registration for rank x, consulting the
-// stash first (a fast respawn can dial back in before the restart sequence
-// reaches this step).
+// awaitHello returns the admissible registration for rank x. The stash is
+// consulted first and after every event: a fast respawn can dial back in
+// before the restart sequence reaches this step, and a registration stashed
+// before the incarnation bump is re-checked against the fence here.
 func (c *Coordinator) awaitHello(x int) (*event, error) {
-	for i, h := range c.pendingHello {
-		if h.m.Rank == x {
+	deadline := time.Now().Add(c.opts.HandshakeTimeout)
+	for {
+		for i := 0; i < len(c.pendingHello); i++ {
+			h := c.pendingHello[i]
+			if h.m.Rank != x {
+				continue
+			}
 			c.pendingHello = append(c.pendingHello[:i], c.pendingHello[i+1:]...)
+			i--
 			if h.m.Inc >= 0 && h.m.Inc != c.incs[x] {
 				_ = h.sess.send(&msg{Kind: kWelcome, Err: fmt.Sprintf("incarnation fence: rank %d claims incarnation %d, cluster is at %d", x, h.m.Inc, c.incs[x])})
 				h.sess.close()
@@ -682,9 +675,6 @@ func (c *Coordinator) awaitHello(x int) (*event, error) {
 			}
 			return &h, nil
 		}
-	}
-	deadline := time.Now().Add(c.opts.HandshakeTimeout)
-	for {
 		ev, err := c.recvUntil(deadline)
 		if err != nil {
 			return nil, fmt.Errorf("awaiting respawn of rank %d: %w", x, err)
@@ -694,14 +684,7 @@ func (c *Coordinator) awaitHello(x int) (*event, error) {
 			return nil, err
 		}
 		if evp == nil {
-			// dispatch stashes admissible hellos; check for ours.
-			for i, h := range c.pendingHello {
-				if h.m.Rank == x {
-					c.pendingHello = append(c.pendingHello[:i], c.pendingHello[i+1:]...)
-					return &h, nil
-				}
-			}
-			continue
+			continue // dispatch stashes admissible hellos
 		}
 		if evp.err != nil {
 			r, _ := c.rankOf(evp.sess)
@@ -717,10 +700,7 @@ func (c *Coordinator) awaitHello(x int) (*event, error) {
 // finish tears the run down and merges the members' results.
 func (c *Coordinator) finish() (*Result, error) {
 	live := c.liveRanks()
-	if err := c.broadcast(live, &msg{Kind: kFinish}); err != nil {
-		return nil, err
-	}
-	results, err := c.collect(kResult, live)
+	results, err := c.order(live, &msg{Kind: kFinish}, kResult)
 	if err != nil {
 		return nil, fmt.Errorf("cluster: collecting results: %w", err)
 	}

@@ -207,15 +207,10 @@ func (w *Worker) Run() error {
 	w.mu.Unlock()
 
 	if welcome.Restore {
-		// Respawn path: start an empty pool, install the cluster's current
-		// incarnation view, then rebuild the owned node from the journal at
-		// the commit horizon the coordinator gathered from the survivors.
+		// Respawn path: start an empty pool, then rebuild the owned node from
+		// the journal under the cluster's current incarnation view, at the
+		// commit horizon the coordinator gathered from the survivors.
 		ctrl.Start()
-		for node, nodeInc := range welcome.Incs {
-			if err := ctrl.ClusterSetIncarnation(node, nodeInc); err != nil {
-				return err
-			}
-		}
 		restoreMsg, err := sess.read()
 		if err != nil {
 			return fmt.Errorf("cluster: awaiting restore: %w", err)
@@ -223,7 +218,7 @@ func (w *Worker) Run() error {
 		if restoreMsg.Kind != kRestore {
 			return fmt.Errorf("cluster: expected restore, got kind %d", restoreMsg.Kind)
 		}
-		restored, err := ctrl.ClusterRestore(rank, restoreMsg.Committed)
+		restored, err := ctrl.ClusterRestore(rank, welcome.Incs, restoreMsg.Committed)
 		ack := &msg{Kind: kRestoreAck, Rank: rank, Restored: restored, Err: errStr(err)}
 		if sendErr := sess.send(ack); sendErr != nil {
 			return sendErr

@@ -281,13 +281,13 @@ func NewController(cfg Config, q *Query, flows [][]Flow, sink Sink) (*Controller
 			if pl.Restore {
 				continue
 			}
-			if err := c.buildNode(i, flows[i]); err != nil {
+			if err := c.buildNode(i, flows[i], nil); err != nil {
 				return nil, err
 			}
 		}
 	} else {
 		for i := 0; i < cfg.Nodes; i++ {
-			if err := c.buildNode(i, flows[i]); err != nil {
+			if err := c.buildNode(i, flows[i], nil); err != nil {
 				return nil, err
 			}
 		}
@@ -310,18 +310,30 @@ func NewController(cfg Config, q *Query, flows [][]Flow, sink Sink) (*Controller
 
 // buildNode brings up node id's row and column of the channel mesh, its
 // backend, and its tasks (§7.2.2 setup phase, performed online for joiners:
-// NIC registration = MR registration, channel.New = QP bring-up). Callers
-// hold c.mu. Recovery restarts run the same pieces individually, with a
-// journal replay interposed between backend and tasks — see restartNode.
-func (c *Controller) buildNode(id int, nodeFlows []Flow) error {
+// NIC registration = MR registration, channel.New = QP bring-up). Restoring a
+// node is the same bring-up with its journal replayed between backend and
+// tasks: rs is nil for a fresh node (see nodeRestore and replayJournal).
+// Callers hold c.mu.
+func (c *Controller) buildNode(id int, nodeFlows []Flow, rs *nodeRestore) error {
 	c.flows[id] = nodeFlows
 	be, myIn, err := c.buildMesh(id)
 	if err != nil {
 		return err
 	}
 	c.activateNode(id, be)
-	if err := c.makeTasks(id, be, myIn, nodeFlows, nil); err != nil {
+	var plans []*threadRestore
+	if rs != nil {
+		if plans, err = c.replayJournal(id, be, rs); err != nil {
+			return fmt.Errorf("%w: node %d journal replay: %v", ErrUnrecoverable, id, err)
+		}
+	}
+	if err := c.makeTasks(id, be, myIn, nodeFlows, plans); err != nil {
 		return err
+	}
+	if rs != nil && rs.retiring != nil {
+		// The node was draining out of the membership when it died; re-arm
+		// the early exit at its last owned window.
+		c.merges[id].retire(c.q.Window.End(rs.retiring.rec.Cutover - 1))
 	}
 	c.launchNode(id)
 	c.live = append(c.live, id)
@@ -351,6 +363,46 @@ func (c *Controller) newSender(src, dst int, p channel.SendPort) *chanSender {
 	return s
 }
 
+// linkPair wires both directed links between node id and live node m from
+// the halves this process holds: all of them in process, and in placement
+// mode the ones Placement.Link looks up among those the external bootstrap
+// exchanged. m's ends go straight into its backend and merge task, where the
+// additions stage behind any fence removals; id's inbound end is returned for
+// its merge task, which does not exist yet (a zero inbound when another
+// process holds it). Callers hold c.mu.
+func (c *Controller) linkPair(id, m int) (inbound, error) {
+	link := c.transport.Link
+	if pl := c.cfg.Placement; pl != nil {
+		link = pl.Link
+	}
+	s, r, err := link(id, m)
+	if err != nil {
+		return inbound{}, fmt.Errorf("core: channel %d->%d: %w", id, m, err)
+	}
+	if s != nil {
+		c.producers[id][m] = s
+		c.senders[id][m] = c.newSender(id, m, s)
+	}
+	if r != nil {
+		c.consumers[m] = append(c.consumers[m], consEntry{src: id, cons: r})
+		c.merges[m].AddInbound(inbound{src: id, inc: c.nodeInc[id], cons: r})
+	}
+	s, r, err = link(m, id)
+	if err != nil {
+		return inbound{}, fmt.Errorf("core: channel %d->%d: %w", m, id, err)
+	}
+	if s != nil {
+		c.producers[m][id] = s
+		c.senders[m][id] = c.newSender(m, id, s)
+		c.backends[m].SetSender(id, c.senders[m][id])
+	}
+	if r == nil {
+		return inbound{}, nil
+	}
+	c.consumers[id] = append(c.consumers[id], consEntry{src: m, cons: r})
+	return inbound{src: m, inc: c.nodeInc[m], cons: r}, nil
+}
+
 // buildMesh brings up node id's NIC, its row and column of the channel mesh,
 // and its backend. Callers hold c.mu.
 func (c *Controller) buildMesh(id int) (*ssb.Backend, []inbound, error) {
@@ -360,55 +412,12 @@ func (c *Controller) buildMesh(id int) (*ssb.Backend, []inbound, error) {
 	}
 	c.nics[id] = nic
 	var myIn []inbound
-	if pl := c.cfg.Placement; pl != nil {
-		// Placement mode: the external control plane already brought the
-		// cross-process endpoints up; Link is a lookup of the locally-held
-		// halves. A nil recv half means the peer owns the consumer side; a
-		// nil send half means the peer owns the producer side.
-		for _, m := range c.live {
-			s, r, err := pl.Link(id, m)
-			if err != nil {
-				return nil, nil, fmt.Errorf("core: channel %d->%d: %w", id, m, err)
-			}
-			c.producers[id][m] = s
-			c.senders[id][m] = c.newSender(id, m, s)
-			if r != nil { // m is owned by this process too: both halves local
-				c.consumers[m] = append(c.consumers[m], consEntry{src: id, cons: r})
-				c.merges[m].AddInbound(inbound{src: id, inc: c.nodeInc[id], cons: r})
-			}
-			s2, r2, err := pl.Link(m, id)
-			if err != nil {
-				return nil, nil, fmt.Errorf("core: channel %d->%d: %w", m, id, err)
-			}
-			c.consumers[id] = append(c.consumers[id], consEntry{src: m, cons: r2})
-			myIn = append(myIn, inbound{src: m, inc: c.nodeInc[m], cons: r2})
-			if s2 != nil {
-				c.producers[m][id] = s2
-				c.senders[m][id] = c.newSender(m, id, s2)
-				c.backends[m].SetSender(id, c.senders[m][id])
-			}
+	for _, m := range c.live {
+		in, err := c.linkPair(id, m)
+		if err != nil {
+			return nil, nil, err
 		}
-	} else {
-		for _, m := range c.live {
-			p, cons, err := c.transport.Link(id, m)
-			if err != nil {
-				return nil, nil, fmt.Errorf("core: channel %d->%d: %w", id, m, err)
-			}
-			c.producers[id][m] = p
-			c.senders[id][m] = c.newSender(id, m, p)
-			c.consumers[m] = append(c.consumers[m], consEntry{src: id, cons: cons})
-			c.merges[m].AddInbound(inbound{src: id, inc: c.nodeInc[id], cons: cons})
-
-			p2, cons2, err := c.transport.Link(m, id)
-			if err != nil {
-				return nil, nil, fmt.Errorf("core: channel %d->%d: %w", m, id, err)
-			}
-			c.producers[m][id] = p2
-			c.senders[m][id] = c.newSender(m, id, p2)
-			c.consumers[id] = append(c.consumers[id], consEntry{src: m, cons: cons2})
-			myIn = append(myIn, inbound{src: m, inc: c.nodeInc[m], cons: cons2})
-			c.backends[m].SetSender(id, c.senders[m][id])
-		}
+		myIn = append(myIn, in)
 	}
 
 	sbs := make([]ssb.Sender, c.cfg.MaxNodes)
@@ -913,7 +922,7 @@ func (c *Controller) AddNodes(flowGroups [][]Flow, cutover uint64) ([]int, error
 	ids := make([]int, k)
 	for i := range ids {
 		ids[i] = c.used + i
-		if err := c.buildNode(ids[i], flowGroups[i]); err != nil {
+		if err := c.buildNode(ids[i], flowGroups[i], nil); err != nil {
 			c.mu.Unlock()
 			c.resume()
 			c.run.fail(err)
@@ -1084,13 +1093,7 @@ func (c *Controller) nodeRetired(node int) {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	liveNow := c.live[:0:0]
-	for _, m := range c.live {
-		if m != node {
-			liveNow = append(liveNow, m)
-		}
-	}
-	c.live = liveNow
+	c.live = removeNode(c.live, node)
 	for _, row := range c.senders {
 		if s := row[node]; s != nil {
 			s.detach()
@@ -1101,9 +1104,7 @@ func (c *Controller) nodeRetired(node int) {
 			s.detach()
 		}
 	}
-	for _, m := range c.live {
-		c.backends[m].SetPeers(c.live)
-	}
+	c.setPeers()
 	if batch := c.retiring[node]; batch != nil {
 		delete(c.retiring, node)
 		batch.remaining--

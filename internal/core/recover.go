@@ -177,6 +177,9 @@ func decodeSourceMark(p []byte) (sourceMark, error) {
 	if len(p) != sourceMarkSize {
 		return sourceMark{}, fmt.Errorf("core: source mark of %d bytes, want %d", len(p), sourceMarkSize)
 	}
+	if p[37] > 1 {
+		return sourceMark{}, fmt.Errorf("core: source mark done flag %d", p[37])
+	}
 	return sourceMark{
 		Thread:   int(binary.LittleEndian.Uint32(p[0:])),
 		Consumed: int64(binary.LittleEndian.Uint64(p[4:])),
@@ -227,6 +230,9 @@ func decodeEmits(p []byte) (uint64, []emitRec, error) {
 	rows := make([]emitRec, n)
 	off := 12
 	for i := range rows {
+		if p[off] > 1 {
+			return 0, nil, fmt.Errorf("core: emit row of unknown tag %d", p[off])
+		}
 		rows[i] = emitRec{
 			tag: p[off],
 			key: binary.LittleEndian.Uint64(p[off+1:]),
@@ -540,7 +546,7 @@ collect:
 	// concurrent (manual) restart already replaced it, the failure is gone
 	// and restarting the fresh incarnation would only lose time.
 	if err := c.restartNodeExpect(suspect, incOf[suspect]); err != nil {
-		return // fatal errors already failed the run inside restartNode
+		return // fatal errors already failed the run inside restartNodeExpect
 	}
 	// Discard reports that raced the restart; a fresh one means a new
 	// failure and is handled immediately.
@@ -558,11 +564,9 @@ collect:
 }
 
 // RestartNode fences node id, restores it from its journal, replays the
-// survivors' rings to it, and rejoins it to the mesh — the manual entry
-// point of the same sequence the failure manager runs automatically.
-func (c *Controller) RestartNode(id int) error {
-	return c.restartNode(id)
-}
+// survivors' rings to it, and rejoins it to the mesh: the manual entry point
+// of the same sequence the failure manager runs automatically.
+func (c *Controller) RestartNode(id int) error { return c.restartNodeExpect(id, -1) }
 
 // Recoveries returns a snapshot of every completed node restart.
 func (c *Controller) Recoveries() []Recovery {
@@ -585,58 +589,54 @@ type threadRestore struct {
 	plan    []planFlush
 }
 
-// restartNode runs the full recovery sequence for node x. Serialized with
-// reconfigurations via reconfigMu; sources are frozen throughout (merge
-// tasks keep draining so restored traffic lands).
-func (c *Controller) restartNode(x int) error {
-	return c.restartNodeExpect(x, -1)
-}
-
-// restartNodeExpect is restartNode conditioned on an incarnation: when
-// expect is non-negative and node x's incarnation already moved past it, the
-// restart is a stale request (a concurrent restart handled the failure) and
-// returns nil without touching the node.
+// restartNodeExpect is the in-process driver of the restart step list (see
+// cluster.go), conditioned on an incarnation: when expect is non-negative and
+// node x's incarnation already moved past it, the request is stale (a
+// concurrent restart handled the failure) and returns nil without touching
+// the node. Beyond the shared steps it owns only what needs every half of the
+// mesh in one process: the guards, the wait for the fenced tasks to exit, and
+// the teardown of the dead incarnation's NIC, transport endpoint and
+// state-plane directory. Serialized with reconfigurations via reconfigMu;
+// merge tasks keep draining throughout, so restored traffic lands.
 func (c *Controller) restartNodeExpect(x, expect int) error {
-	ro := c.cfg.Recovery
-	if ro == nil {
-		return fmt.Errorf("core: recovery is not configured")
+	if err := c.enter(x, false); err != nil {
+		return err
 	}
-	c.run.frozen.Add(1)
-	defer c.run.frozen.Add(-1)
+	c.freeze()
 	c.reconfigMu.Lock()
 	defer c.reconfigMu.Unlock()
 	start := time.Now()
 
 	c.mu.Lock()
-	if !c.started {
+	thaw := func(err error) error {
 		c.mu.Unlock()
-		return ErrNotRunning
-	}
-	if expect >= 0 && c.nodeInc[x] != expect {
-		c.mu.Unlock()
-		return nil
-	}
-	if x < 0 || x >= c.cfg.MaxNodes || !containsNode(c.live, x) {
-		c.mu.Unlock()
-		return fmt.Errorf("core: node %d is not live", x)
-	}
-	c.restarts++
-	if c.restarts > ro.MaxRestarts {
-		c.mu.Unlock()
-		err := fmt.Errorf("%w: restart budget of %d exhausted", ErrUnrecoverable, ro.MaxRestarts)
-		c.run.fail(err)
+		c.run.frozen.Add(-1)
 		return err
 	}
-	// Fence: the node's tasks exit at their next step. Closing every
-	// producer endpoint touching the node unblocks any sender spinning for
-	// credit on a channel whose far end will never poll again.
+	if !c.started {
+		return thaw(ErrNotRunning)
+	}
+	if expect >= 0 && c.nodeInc[x] != expect {
+		return thaw(nil)
+	}
+	if !containsNode(c.live, x) {
+		return thaw(fmt.Errorf("core: node %d is not live", x))
+	}
+	c.restarts++
+	if budget := c.cfg.Recovery.MaxRestarts; c.restarts > budget {
+		err := fmt.Errorf("%w: restart budget of %d exhausted", ErrUnrecoverable, budget)
+		c.run.fail(err)
+		return thaw(err)
+	}
+	defer c.release()
+	// Signal the fence: the node's tasks exit at their next step. Closing
+	// every producer endpoint touching the node unblocks any sender spinning
+	// for credit on a channel whose far end will never poll again.
 	c.run.fenced[x].Store(true)
-	for m := range c.producers[x] {
+	for m := range c.producers {
 		if p := c.producers[x][m]; p != nil {
 			p.Close()
 		}
-	}
-	for m := range c.producers {
 		if p := c.producers[m][x]; p != nil {
 			p.Close()
 		}
@@ -680,24 +680,8 @@ func (c *Controller) restartNodeExpect(x, expect int) error {
 	}
 
 	c.mu.Lock()
-	// Tear down the dead incarnation. Survivor merge tasks discard the old
-	// link's backlog before adopting the rebuilt one (RemoveInbound stages
-	// ahead of AddInbound), so the dead incarnation's chunks can never
-	// interleave with the restart's — the positional dedup depends on it.
-	for _, m := range c.live {
-		if m == x {
-			continue
-		}
-		kept := c.consumers[m][:0]
-		for _, e := range c.consumers[m] {
-			if e.src == x {
-				c.merges[m].RemoveInbound(e.cons)
-			} else {
-				kept = append(kept, e)
-			}
-		}
-		c.consumers[m] = kept
-	}
+	horizon := c.fence(x, c.nodeInc[x]+1)
+	// Tear down the dead incarnation's own half of the mesh.
 	for _, e := range c.consumers[x] {
 		e.cons.Close()
 	}
@@ -729,126 +713,21 @@ func (c *Controller) restartNodeExpect(x, expect int) error {
 	// Fence at the fabric: the old name can never be reconnected, and any
 	// injector fault state keyed on it stays with the dead incarnation.
 	c.fabric.RemoveNIC(oldName)
-	c.nodeInc[x]++
-	liveNow := c.live[:0:0]
-	for _, m := range c.live {
-		if m != x {
-			liveNow = append(liveNow, m)
-		}
-	}
-	c.live = liveNow
 	// Unfence before the replacement tasks are born.
 	c.run.fenced[x].Store(false)
-
-	fail := func(err error) error {
-		c.mu.Unlock()
+	restored, err := c.restore(x, &nodeRestore{horizon: horizon, oldDone: oldDone, retiring: wasRetiring})
+	c.mu.Unlock()
+	if err != nil {
 		c.run.fail(err)
 		return err
 	}
-	// Rebuild the node's row and column of the mesh under its new
-	// incarnation, restore its backend from the journal, and plan its
-	// sources' replay.
-	be, myIn, err := c.buildMesh(x)
-	if err != nil {
-		return fail(err)
-	}
-	c.activateNode(x, be)
-	marks, err := c.replayJournal(x, be)
-	if err != nil {
-		return fail(fmt.Errorf("%w: node %d journal replay: %v", ErrUnrecoverable, x, err))
-	}
-	be.FinishRestore()
-	restored := be.CommittedEpochs()
-	plans, err := c.buildPlans(x, marks, restored, oldDone, nil)
-	if err != nil {
-		return fail(err)
-	}
-	// The node's own outbound rings drop what its replay plans re-produce,
-	// which would only duplicate epochs in the ring. The rest stays: every
-	// live receiver merged it, but one that fails later restores only its
-	// last checkpoint and may need it again.
-	replayFrom := map[int]uint64{}
-	for th, pr := range plans {
-		if !pr.done {
-			replayFrom[x*c.cfg.ThreadsPerNode+th] = pr.epoch
-		}
-	}
-	for _, r := range c.rings[x] {
-		if r != nil {
-			r.dropReplayed(replayFrom)
-		}
-	}
-	if err := c.makeTasks(x, be, myIn, c.flows[x], plans); err != nil {
-		return fail(err)
-	}
-	if wasRetiring != nil {
-		// The node was draining out of the membership when it died; re-arm
-		// the early exit at its last owned window.
-		c.merges[x].retire(c.q.Window.End(wasRetiring.rec.Cutover - 1))
-	}
-	c.launchNode(x)
-	c.live = append(c.live, x)
-	be.SetPeers(c.live)
-	type replaySrc struct {
-		s *chanSender
-		r *replayRing
-	}
-	var replays []replaySrc
-	for _, m := range c.live {
-		if m == x {
-			continue
-		}
-		if s, r := c.senders[m][x], c.rings[m][x]; s != nil && r != nil {
-			replays = append(replays, replaySrc{s, r})
-		}
-	}
-	c.mu.Unlock()
 
-	// Replay the survivors' rings into the restored node (outside c.mu: the
-	// posts flow against the new merge task's draining). Horizon first: an
-	// evicted entry above the restored checkpoint vector is unrecoverable.
-	replayed := 0
-	for _, rp := range replays {
-		if err := rp.r.horizonErr(restored); err != nil {
-			c.run.fail(err)
-			return err
-		}
+	replayed, err := c.replay(x, restored)
+	if err != nil {
+		c.run.fail(err)
+		return err
 	}
-	for _, rp := range replays {
-		n, err := rp.r.replayTo(rp.s, restored)
-		replayed += n
-		if err != nil {
-			if c.mgr != nil && isLinkError(err) {
-				// The replaying SENDER's link died mid-replay — the usual
-				// cause is that the vote fenced the wrong suspect and the
-				// sender is the genuinely dead node. Its restart clears its
-				// own rings and re-produces every uncommitted epoch from its
-				// journal, so the entries skipped here are re-sent by
-				// construction. Route the report back to the manager instead
-				// of failing the run.
-				c.mgr.reportLink(rp.s.src, rp.s.dst, rp.s.srcInc, rp.s.dstInc, err)
-				continue
-			}
-			err = fmt.Errorf("core: ring replay to node %d: %w", x, err)
-			c.run.fail(err)
-			return err
-		}
-	}
-
-	rec := Recovery{Node: x, Incarnation: c.nodeInc[x], Duration: time.Since(start), ReplayedChunks: replayed}
-	c.mu.Lock()
-	c.recoveries = append(c.recoveries, rec)
-	c.mu.Unlock()
-	if c.mReplayed != nil {
-		c.mReplayed.Add(uint64(replayed))
-	}
-	if c.mRecDur != nil {
-		// The registry is unitless; like every engine histogram this one
-		// observes nanoseconds despite the conventional _seconds suffix.
-		c.mRecDur.ObserveDuration(rec.Duration)
-	}
-	// Parked flushes may retry: their links exist again.
-	c.run.retryGen.Add(1)
+	c.recordRecovery(Recovery{Node: x, Incarnation: c.nodeInc[x], Duration: time.Since(start), ReplayedChunks: replayed})
 	return nil
 }
 
@@ -866,13 +745,32 @@ func (c *Controller) sourceStepping() bool {
 	return false
 }
 
-// replayJournal replays node x's journal into its fresh backend, in order:
-// checkpoints merge their staged deltas and fast-forward tracker and clock,
-// trigger marks re-mark fired windows — without re-emitting in-process (the
-// shared sink already holds the rows), re-emitting from the journaled
-// KindEmit records when durable emits are armed (the dead process's sink is
-// gone). Source marks are collected for buildPlans.
-func (c *Controller) replayJournal(x int, be *ssb.Backend) ([]sourceMark, error) {
+// nodeRestore is what restoring a node adds to a fresh bring-up (buildNode).
+type nodeRestore struct {
+	// horizon is the element-wise minimum of the survivors' committed-epoch
+	// vectors, as the fence step returned it. The node's source replay
+	// rewinds to the last flush boundary committed there and in its own
+	// restored vector.
+	horizon []uint64
+	// oldDone marks the dead incarnation's source threads that already
+	// published their run totals; nil when none did.
+	oldDone []bool
+	// retiring re-arms the early exit of a node that died while draining out
+	// of the membership.
+	retiring *retireBatch
+	// restored receives the restored committed-epoch vector.
+	restored []uint64
+}
+
+// replayJournal is what buildNode adds to restore node x: it replays x's
+// journal into the fresh backend and plans its sources' replay. Records replay
+// in order: checkpoints merge their staged deltas and fast-forward tracker and
+// clock; trigger marks re-mark fired windows. In process they do not re-emit,
+// since the shared sink already holds the rows; with durable emits armed they
+// re-emit the journaled KindEmit rows, since the dead process's sink is gone.
+// Source marks become the per-thread replay plans (buildPlans), and x's own
+// outbound rings drop the epochs those plans re-produce.
+func (c *Controller) replayJournal(x int, be *ssb.Backend, rs *nodeRestore) ([]*threadRestore, error) {
 	recs, err := c.cfg.Recovery.Store.Load(x)
 	if err != nil {
 		return nil, err
@@ -934,40 +832,40 @@ func (c *Controller) replayJournal(x int, be *ssb.Backend) ([]sourceMark, error)
 	if n := len(recs); n > 0 && c.journals != nil {
 		c.journals[x].setSeq(recs[n-1].Seq)
 	}
-	return marks, nil
+	be.FinishRestore()
+	rs.restored = be.CommittedEpochs()
+	plans := c.buildPlans(x, marks, rs)
+	// The node's own outbound rings drop what its replay plans re-produce,
+	// which would only duplicate epochs in the ring. The rest stays: every
+	// live receiver merged it, but one that fails later restores only its
+	// last checkpoint and may need it again.
+	replayFrom := map[int]uint64{}
+	for th, pr := range plans {
+		if !pr.done {
+			replayFrom[x*c.cfg.ThreadsPerNode+th] = pr.epoch
+		}
+	}
+	for _, r := range c.rings[x] {
+		if r != nil {
+			r.dropReplayed(replayFrom)
+		}
+	}
+	return plans, nil
 }
 
 // buildPlans turns node x's journaled source marks into per-thread replay
 // plans. The rewind point per thread is the last flush boundary whose epoch
-// is committed at EVERY live backend (the restored one included): epochs at
-// or below it need no re-send, everything above is re-produced by
-// re-ingesting from the boundary and flushing at the journaled boundaries.
-// peerCommitted overrides the survivor horizon for placement deployments,
-// where the other backends live in other processes: the control plane
-// collects their committed vectors at the fence and passes the element-wise
-// view here; nil means read the co-located live backends directly.
-// Callers hold c.mu.
-func (c *Controller) buildPlans(x int, marks []sourceMark, restored []uint64, oldDone []bool, peerCommitted [][]uint64) ([]*threadRestore, error) {
+// is committed at EVERY live backend: the restored one (rs.restored) and the
+// survivors (rs.horizon). Epochs at or below it need no re-send; everything
+// above is re-produced by re-ingesting from the boundary and flushing at the
+// journaled boundaries.
+func (c *Controller) buildPlans(x int, marks []sourceMark, rs *nodeRestore) []*threadRestore {
 	tpn := c.cfg.ThreadsPerNode
 	committedMin := func(gtid int) uint64 {
 		eMin := uint64(math.MaxUint64)
-		if gtid < len(restored) {
-			eMin = restored[gtid]
-		}
-		if peerCommitted != nil {
-			for _, v := range peerCommitted {
-				if gtid < len(v) && v[gtid] < eMin {
-					eMin = v[gtid]
-				}
-			}
-		} else {
-			for _, m := range c.live {
-				if m == x {
-					continue
-				}
-				if v := c.backends[m].CommittedEpochs(); gtid < len(v) && v[gtid] < eMin {
-					eMin = v[gtid]
-				}
+		for _, v := range [][]uint64{rs.restored, rs.horizon} {
+			if gtid < len(v) && v[gtid] < eMin {
+				eMin = v[gtid]
 			}
 		}
 		if eMin == uint64(math.MaxUint64) {
@@ -999,8 +897,8 @@ func (c *Controller) buildPlans(x int, marks []sourceMark, restored []uint64, ol
 
 		eMin := committedMin(gtid)
 		r := &threadRestore{wm: int64(stream.NoWatermark), inc: maxInc + 1}
-		if th < len(oldDone) {
-			r.counted = oldDone[th]
+		if th < len(rs.oldDone) {
+			r.counted = rs.oldDone[th]
 		}
 		cut := -1
 		for i, e := range epochs {
@@ -1022,7 +920,7 @@ func (c *Controller) buildPlans(x int, marks []sourceMark, restored []uint64, ol
 		}
 		plans[th] = r
 	}
-	return plans, nil
+	return plans
 }
 
 // onCheckpoint receives a node's durable commit vector after a periodic
@@ -1046,4 +944,16 @@ func containsNode(set []int, n int) bool {
 		}
 	}
 	return false
+}
+
+// removeNode returns set without n, in a fresh slice: readers may still hold
+// the old one.
+func removeNode(set []int, n int) []int {
+	out := set[:0:0]
+	for _, m := range set {
+		if m != n {
+			out = append(out, m)
+		}
+	}
+	return out
 }
